@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -21,13 +23,10 @@ import (
 )
 
 const (
-	// callers is the number of closed-loop caller goroutines: one per
-	// vCPU on the reference machine.
-	callers = 2
 	// setupReps is how many times a run builds and warms its system;
 	// setup_s is the median, and every build but the last is torn down
 	// and checked for leaked goroutines.
-	setupReps = 5
+	setupReps = 3
 	// settleWait bounds how long a closed system may take for its
 	// goroutines to exit.
 	settleWait = 5 * time.Second
@@ -40,6 +39,7 @@ type options struct {
 	seed    int64
 	seconds int
 	traced  bool
+	depth   int // calls in flight per caller on workloads that pipeline; 0: the workload's own
 }
 
 // traceDir is where the traced run writes its span file, relative to the
@@ -56,6 +56,12 @@ type workload struct {
 	// It is a count, not a duration, so that a faster stack also warms
 	// up faster and setup_s shows work moved into set-up.
 	warmOps int64
+	// callers is the number of closed-loop caller goroutines. One caller
+	// leaves the second vCPU of the 2-vCPU reference machine to the
+	// serving side; with two, the latency figures also measure how the
+	// callers queue behind each other for the vCPUs, and move more from
+	// run to run.
+	callers int
 	// depth is the number of calls each caller keeps in flight.
 	depth int
 	// build assembles the system. rec is nil for untraced runs, which
@@ -182,12 +188,14 @@ type phase struct {
 // moves them less than it moves the whole-window figures.
 type slice struct {
 	dur   time.Duration
+	ran   float64 // share of dur the machine's vCPUs ran (see ranShare)
 	cpu   time.Duration
 	lat   []int64 // sorted
 	heavy []int64 // sorted
 }
 
-func (s slice) opsPerS() float64 { return float64(len(s.lat)) / s.dur.Seconds() }
+// opsPerS counts the slice's seconds as the machine ran them.
+func (s slice) opsPerS() float64 { return float64(len(s.lat)) / (s.dur.Seconds() * s.ran) }
 func (s slice) cpuPerOp() float64 {
 	return float64(s.cpu.Nanoseconds()) / 1e3 / float64(len(s.lat))
 }
@@ -231,6 +239,7 @@ func runPhase(cs []caller, wl *workload, nslices int, sliceDur time.Duration, pe
 	// itself (a traced caller whose span buffer filled up).
 	bounds := []time.Time{start}
 	cpus := []time.Duration{cpuTime()}
+	ticks := []hostTicks{readHostTicks()}
 	for k := 1; k <= nslices; k++ {
 		timer.Reset(time.Until(start.Add(time.Duration(k) * sliceDur)))
 		early := false
@@ -240,6 +249,7 @@ func runPhase(cs []caller, wl *workload, nslices int, sliceDur time.Duration, pe
 			early = true
 		}
 		cpus = append(cpus, cpuTime())
+		ticks = append(ticks, readHostTicks())
 		bounds = append(bounds, time.Now())
 		tick.Store(int32(k))
 		if early {
@@ -280,7 +290,7 @@ func runPhase(cs []caller, wl *workload, nslices int, sliceDur time.Duration, pe
 		slices.Sort(l)
 	}
 	for k := 0; k < nslices; k++ {
-		sl := slice{dur: bounds[k+1].Sub(bounds[k]), cpu: cpus[k+1] - cpus[k]}
+		sl := slice{dur: bounds[k+1].Sub(bounds[k]), ran: ranShare(ticks[k], ticks[k+1]), cpu: cpus[k+1] - cpus[k]}
 		for _, s := range ss {
 			from := 0
 			if k > 0 {
@@ -336,6 +346,47 @@ func median(v []float64) float64 {
 		return d[n/2]
 	}
 	return (d[n/2-1] + d[n/2]) / 2
+}
+
+// hostTicks is the first line of /proc/stat, summed over the machine's
+// vCPUs: the ticks the hypervisor gave to other guests while a vCPU was
+// ready to run (steal), and all ticks.
+type hostTicks struct{ steal, total int64 }
+
+func readHostTicks() hostTicks {
+	b, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return hostTicks{}
+	}
+	line, _, _ := strings.Cut(string(b), "\n")
+	f := strings.Fields(line)
+	if len(f) < 9 || f[0] != "cpu" {
+		return hostTicks{}
+	}
+	var t hostTicks
+	// user nice system idle iowait irq softirq steal; guest time is
+	// already inside user.
+	for i := 1; i <= 8; i++ {
+		v, err := strconv.ParseInt(f[i], 10, 64)
+		if err != nil {
+			return hostTicks{}
+		}
+		t.total += v
+	}
+	t.steal, _ = strconv.ParseInt(f[8], 10, 64)
+	return t
+}
+
+// ranShare is the share of the interval between two readings in which the
+// machine's vCPUs were not held off by the hypervisor: 1 minus the steal
+// share. Throughput and set-up time count only that share of wall-clock
+// time, so other guests on a shared host move them less. Where there is no
+// steal, or no /proc/stat, it is 1 and the figures are plain wall-clock.
+func ranShare(a, b hostTicks) float64 {
+	if b.total <= a.total {
+		return 1
+	}
+	return 1 - float64(b.steal-a.steal)/float64(b.total-a.total)
 }
 
 func cpuTime() time.Duration {
@@ -412,22 +463,28 @@ func run(wl *workload, o options) (*result, error) {
 	}
 	t := &tally{correct: true}
 	base := runtime.NumGoroutine()
+	depth := wl.depth
+	if o.depth > 0 && wl == bulkUDP {
+		depth = o.depth
+	}
 
 	// Set-up: build, warm up, and (except for the last build) tear down.
-	var setups []float64
+	var setups, setupRan []float64
 	var w *world
 	var cs []caller
 	var warm phase
 	for i := 0; i < setupReps; i++ {
-		t0 := time.Now()
+		t0, h0 := time.Now(), readHostTicks()
 		var err error
 		w, err = wl.build(o.seed, nil)
 		if err != nil {
 			return nil, fmt.Errorf("set-up: %w", err)
 		}
-		cs = makeCallers(w, callers, wl.depth)
-		warm = runPhase(cs, wl, 0, 0, wl.warmOps/callers, 1024, nil, nil)
-		setups = append(setups, time.Since(t0).Seconds())
+		cs = makeCallers(w, wl.callers, depth)
+		warm = runPhase(cs, wl, 0, 0, wl.warmOps/int64(wl.callers), 1024, nil, nil)
+		ran := ranShare(h0, readHostTicks())
+		setups = append(setups, time.Since(t0).Seconds()*ran)
+		setupRan = append(setupRan, ran)
 		if warm.bad > 0 {
 			t.fail("warm-up: " + warm.badMsg)
 		}
@@ -436,10 +493,11 @@ func run(wl *workload, o options) (*result, error) {
 			t.check(settle(base))
 		}
 	}
-	fmt.Printf("setup: %.3f s each (nodes, sessions, preload, %d warm-up operations)\n", setups, wl.warmOps)
+	fmt.Printf("setup: %.3f s each (nodes, sessions, preload, %d warm-up operations), counting the %.2f of wall-clock time the vCPUs ran\n",
+		setups, wl.warmOps, setupRan)
 
 	// Measured window, with nothing in the stack but the stack.
-	capHint := capFor(warm, float64(o.seconds), callers)
+	capHint := capFor(warm, float64(o.seconds), wl.callers)
 	var ms0, ms1 runtime.MemStats
 	var c0, c1 counters
 	// A traced run gives half its time to this window, for the program's
@@ -471,7 +529,7 @@ func run(wl *workload, o options) (*result, error) {
 	if !o.traced {
 		metrics["ops_per_s"] = metric{p.overSlices(slice.opsPerS), "ops/s"}
 		metrics["p50_us"] = metric{p.overSlices(func(s slice) float64 { return quantile(s.lat, 0.50) }), "us"}
-		metrics["p99_us"] = metric{p.overSlices(func(s slice) float64 { return quantile(s.lat, 0.99) }), "us"}
+		metrics["p90_us"] = metric{p.overSlices(func(s slice) float64 { return quantile(s.lat, 0.90) }), "us"}
 		metrics["heavy_p50_us"] = metric{p.overSlices(func(s slice) float64 { return quantile(s.heavy, 0.50) }), "us"}
 		metrics["cpu_us_per_op"] = metric{p.overSlices(slice.cpuPerOp), "us"}
 		metrics["allocs_per_op"] = metric{float64(ms1.Mallocs-ms0.Mallocs) / done, "count"}
@@ -482,21 +540,22 @@ func run(wl *workload, o options) (*result, error) {
 			minSlice = min(minSlice, len(s.lat))
 		}
 		fmt.Printf("window: %d operations in %.3f s (%d slices, medians over slices), %d failed; "+
-			"p99 over at least %d samples a slice, %d beyond it\n",
-			p.ops, p.elapsed.Seconds(), len(p.slices), p.failed, minSlice, minSlice-int(math.Ceil(0.99*float64(minSlice))))
-		fmt.Printf("whole window: %.1f ops/s, p50 %.2f us, p99 %.2f us\n", opsPerS, quantile(p.lat, 0.5), quantile(p.lat, 0.99))
-		fmt.Print("slices (kops/s p99_us):")
+			"p90 over at least %d samples a slice, %d beyond it\n",
+			p.ops, p.elapsed.Seconds(), len(p.slices), p.failed, minSlice, minSlice-int(math.Ceil(0.90*float64(minSlice))))
+		fmt.Printf("whole window: %.1f ops/s of wall-clock time, p50 %.2f us, p90 %.2f us, p99 %.2f us\n",
+			opsPerS, quantile(p.lat, 0.5), quantile(p.lat, 0.9), quantile(p.lat, 0.99))
+		fmt.Print("slices (kops/s, vCPU share run, p90_us):")
 		for _, s := range p.slices {
-			fmt.Printf(" %.1f/%.0f", s.opsPerS()/1e3, quantile(s.lat, 0.99))
+			fmt.Printf(" %.1f/%.2f/%.0f", s.opsPerS()/1e3, s.ran, quantile(s.lat, 0.90))
 		}
 		fmt.Println()
 		for c, name := range wl.classes {
-			fmt.Printf("  class %-12s %8d ops  p50 %9.2f us  p99 %9.2f us\n",
-				name, len(p.byClass[c]), quantile(p.byClass[c], 0.5), quantile(p.byClass[c], 0.99))
+			fmt.Printf("  class %-12s %8d ops  p50 %9.2f us  p90 %9.2f us  p99 %9.2f us\n",
+				name, len(p.byClass[c]), quantile(p.byClass[c], 0.5), quantile(p.byClass[c], 0.9), quantile(p.byClass[c], 0.99))
 		}
 	} else {
 		layerCounters(metrics, c0, c1, w)
-		if err := tracedRun(wl, o, base, t, metrics, opsPerS); err != nil {
+		if err := tracedRun(wl, o, base, t, metrics, opsPerS, depth); err != nil {
 			return nil, err
 		}
 	}
@@ -526,7 +585,7 @@ func printMetrics(m map[string]metric) {
 // tracedRun builds the system again with every transport wrapped, runs one
 // caller with one operation in flight first untraced and then traced, and
 // adds the span-derived metrics.
-func tracedRun(wl *workload, o options, base int, t *tally, metrics map[string]metric, untracedOps float64) error {
+func tracedRun(wl *workload, o options, base int, t *tally, metrics map[string]metric, untracedOps float64, depth int) error {
 	rec := newRecorder()
 	w, err := wl.build(o.seed, rec)
 	if err != nil {
@@ -572,8 +631,8 @@ func tracedRun(wl *workload, o options, base int, t *tally, metrics map[string]m
 	metrics["trace.untraced_ops_per_s"] = metric{serialOps, "ops/s"}
 	metrics["trace.overhead_pct"] = metric{100 * (serialOps/tracedOps - 1), "%"}
 
-	fmt.Printf("ops_per_s: %.0f untraced with %d callers at depth %d; one in flight: %.0f untraced, %.0f traced (overhead %.1f%%)\n",
-		untracedOps, callers, wl.depth, serialOps, tracedOps, 100*(serialOps/tracedOps-1))
+	fmt.Printf("ops_per_s (wall-clock): %.0f untraced with %d caller(s) at depth %d; one in flight: %.0f untraced, %.0f traced (overhead %.1f%%)\n",
+		untracedOps, wl.callers, depth, serialOps, tracedOps, 100*(serialOps/tracedOps-1))
 	a.print()
 	if rec.dropped.Load() > 0 {
 		fmt.Printf("traced: span buffer full, %d spans not recorded\n", rec.dropped.Load())

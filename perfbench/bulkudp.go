@@ -14,24 +14,26 @@ import (
 	"fireflyrpc/internal/transport"
 )
 
-// bulkUDP: two callers move 4, 16 and 60 KiB blobs, up and down in equal
-// shares, over the batched UDP loopback datapath, each keeping calls in
-// flight with core.Client.Go. Multi-fragment stop-and-wait, acknowledgements,
-// socket syscalls, GSO/GRO and buffer copies dominate; small-call and
-// cluster costs barely register.
+// bulkUDP: one caller moves 4, 16 and 60 KiB blobs, up and down in equal
+// shares, over the batched UDP loopback datapath, issuing each call with
+// core.Client.Go. Multi-fragment stop-and-wait, acknowledgements, socket
+// syscalls, GSO/GRO and buffer copies dominate; small-call and cluster
+// costs barely register.
 //
-// Each caller keeps 8 calls in flight. At 4, the share of calls that ran
-// past the retransmission timeout on the 2-vCPU reference machine hovered
-// around 1%, so p99 flipped from run to run between the plain 60 KiB tail
-// (8 ms) and the timeout path (12-22 ms). At 8 about 4% of calls take
-// that path in every run, and p99 measures it steadily.
+// The caller keeps one call in flight. With more, 60 KiB calls queue behind
+// each other past the retransmission timeout (6.25 ms floor), and the share
+// of calls that take the timeout path swings with outside load: at 8 in
+// flight on each of two callers it ran from 1% to 3% between runs of the
+// same code, and throughput and every latency figure swung with it. --depth
+// keeps more calls in flight and shows that path.
 var bulkUDP = &workload{
 	name:    "bulk_udp",
 	classes: []string{"up4K", "up16K", "up60K", "down4K", "down16K", "down60K"},
 	heavy:   []bool{false, false, true, false, false, true},
+	callers: 1,
 	mix:     bulkMix,
-	warmOps: 4_000,
-	depth:   maxDepth,
+	warmOps: 1_500,
+	depth:   1,
 	build:   buildBulkUDP,
 	shapes:  bulkShapes,
 }

@@ -23,11 +23,14 @@ import (
 // exchange, 10,000 preloaded keys, and two callers drawing Zipf(1.1) keys:
 // GetAny 80%, Get 10%, Put 10%. P2C picking, hedging and the Fanout
 // quorums dominate; writes run beside reads on the same replicas, so a
-// read-path gain that costs writes shows in heavy_p50_us.
+// read-path gain that costs writes shows in heavy_p50_us. There are two
+// callers so that two writers can race on one key, which is how Put's
+// version ties show.
 var kvZipf = &workload{
 	name:    "kv_zipf",
 	classes: []string{"GetAny", "Get", "Put"},
 	heavy:   []bool{false, false, true},
+	callers: 2,
 	mix:     kvMix,
 	warmOps: 20_000,
 	depth:   1,

@@ -47,14 +47,15 @@ func main() {
 	seconds := flag.Int("seconds", 10, "length of each measured window in seconds")
 	trace := flag.Int("trace", 0, "0: end-to-end metrics; 1: per-layer metrics")
 	repeat := flag.Int("repeat", 0, "run each workload (or --workload all) this many times in fresh processes and summarize")
+	depth := flag.Int("depth", 0, fmt.Sprintf("calls each bulk_udp caller keeps in flight, 1 to %d (0: %d)", maxDepth, bulkUDP.depth))
 	flag.Parse()
 
-	if *seconds < 1 || (*trace != 0 && *trace != 1) {
-		fmt.Fprintln(os.Stderr, "perfbench: --seconds must be at least 1 and --trace 0 or 1")
+	if *seconds < 1 || (*trace != 0 && *trace != 1) || *depth < 0 || *depth > maxDepth {
+		fmt.Fprintf(os.Stderr, "perfbench: --seconds must be at least 1, --trace 0 or 1 and --depth 0 to %d\n", maxDepth)
 		os.Exit(2)
 	}
 	if *repeat > 0 {
-		if err := repeatRuns(*name, *seed, *seconds, *trace, *repeat); err != nil {
+		if err := repeatRuns(*name, *seed, *seconds, *trace, *depth, *repeat); err != nil {
 			fmt.Fprintln(os.Stderr, "perfbench:", err)
 			os.Exit(1)
 		}
@@ -66,7 +67,7 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Println("machine:", fingerprint())
-	res, err := run(w, options{seed: *seed, seconds: *seconds, traced: *trace == 1})
+	res, err := run(w, options{seed: *seed, seconds: *seconds, traced: *trace == 1, depth: *depth})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
@@ -125,7 +126,7 @@ func fingerprint() string {
 // repeatRuns re-executes this binary n times per workload, seeds seed,
 // seed+1, ..., and prints each metric's median and quartiles, with the
 // interquartile range as a share of the median (the benchmark's spread).
-func repeatRuns(name string, seed int64, seconds, trace, n int) error {
+func repeatRuns(name string, seed int64, seconds, trace, depth, n int) error {
 	names := []string{name}
 	if name == "all" {
 		names = workloadNames()
@@ -144,7 +145,7 @@ func repeatRuns(name string, seed int64, seconds, trace, n int) error {
 		for i := 0; i < n; i++ {
 			s := seed + int64(i)
 			cmd := exec.Command(self, "--workload", wl, "--seed", strconv.FormatInt(s, 10),
-				"--seconds", strconv.Itoa(seconds), "--trace", strconv.Itoa(trace))
+				"--seconds", strconv.Itoa(seconds), "--trace", strconv.Itoa(trace), "--depth", strconv.Itoa(depth))
 			cmd.Stderr = os.Stderr
 			out, err := cmd.Output()
 			if err != nil {

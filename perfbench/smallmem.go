@@ -10,7 +10,7 @@ import (
 	"fireflyrpc/internal/transport"
 )
 
-// smallMem: two callers drive the generated Test stubs over the in-process
+// smallMem: one caller drives the generated Test stubs over the in-process
 // exchange. Only the fixed per-call cost runs here — the proto call table,
 // goroutine handoffs, core stubs and marshal — with no sockets, fragments
 // or cluster, so inline dispatch and allocation cuts show and datapath
@@ -19,6 +19,7 @@ var smallMem = &workload{
 	name:    "small_mem",
 	classes: []string{"Null", "Add4", "Greet", "Increment", "MaxResult"},
 	heavy:   []bool{false, false, false, false, true},
+	callers: 1,
 	mix:     smallMix,
 	warmOps: 100_000,
 	depth:   1,
